@@ -40,9 +40,10 @@
 //
 // Shared knobs: -algo redo|undo|htm, -domain ADR|eADR|..., -shards,
 // -maxbatch, -window (batch window ns), -deadline (shed deadline ns),
-// -queue (per-shard depth), -adaptive plus -adapt-* controller bounds
-// and gains. See docs/SERVING.md for the protocol subset, the
-// pipelined connection design, and the controller.
+// -queue (per-shard depth), -adaptive (the AIMD controller, with the
+// fixed bounds and gains in adaptCtrl). See docs/SERVING.md for the
+// protocol subset, the pipelined connection design, and the
+// controller.
 package main
 
 import (
@@ -58,11 +59,16 @@ import (
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
-	"goptm/internal/metrics"
 	"goptm/internal/obs"
 	"goptm/internal/server"
 	"goptm/internal/server/loadsim"
 )
+
+// adaptCtrl is the adaptive controller's configuration: CtrlConfig's
+// defaults (cap floor 1, window 0..16384 ns, evaluated every 8192 ns,
+// steps of 4 and 1024 ns) with the cap allowed up to 32 — clamped to
+// the store's log sizing.
+var adaptCtrl = server.CtrlConfig{MaxBatch: 32}
 
 // writeTraceFile exports the recorder's Perfetto JSON to path.
 func writeTraceFile(path string, rec *obs.Recorder) error {
@@ -91,13 +97,6 @@ func main() {
 	durable := flag.Bool("durable", true, "with -image: journal acked writes to <image>.wal and fsync-barrier every ack, so a process kill loses nothing acknowledged")
 
 	adaptive := flag.Bool("adaptive", false, "drive each shard's (batch cap, window) with the AIMD group-commit controller; -maxbatch/-window become the starting point")
-	adaptMaxBatch := flag.Int("adapt-maxbatch", 32, "adaptive: controller upper batch-cap bound (clamped to the store's log sizing)")
-	adaptMinBatch := flag.Int("adapt-minbatch", 1, "adaptive: controller lower batch-cap bound")
-	adaptMaxWindow := flag.Int64("adapt-maxwindow", 16384, "adaptive: controller upper group-commit window bound, virtual ns")
-	adaptMinWindow := flag.Int64("adapt-minwindow", 0, "adaptive: controller lower group-commit window bound, virtual ns")
-	adaptInterval := flag.Int64("adapt-interval", 8192, "adaptive: controller evaluation interval, virtual ns")
-	adaptBatchStep := flag.Int("adapt-batchstep", 4, "adaptive: additive batch-cap increase per pressured step")
-	adaptWindowStep := flag.Int64("adapt-windowstep", 1024, "adaptive: additive window increase per pressured step, virtual ns")
 
 	loadsimMode := flag.Bool("loadsim", false, "run the deterministic open-loop load simulator instead of serving TCP")
 	rate := flag.Float64("rate", 2e6, "loadsim: arrivals per virtual second")
@@ -143,16 +142,6 @@ func main() {
 		fail(err)
 	}
 
-	ctrl := server.CtrlConfig{
-		MinBatch:       *adaptMinBatch,
-		MaxBatch:       *adaptMaxBatch,
-		MinWindowNS:    *adaptMinWindow,
-		MaxWindowNS:    *adaptMaxWindow,
-		EvalIntervalNS: *adaptInterval,
-		BatchStep:      *adaptBatchStep,
-		WindowStepNS:   *adaptWindowStep,
-	}
-
 	if *rateSweep != "" {
 		rates, err := loadsim.ParseRates(*rateSweep)
 		if err != nil {
@@ -172,7 +161,7 @@ func main() {
 				Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 				Requests: *requests, Seed: *seed, Warmup: *warmup,
 				DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-				Ctrl: ctrl,
+				Ctrl: adaptCtrl,
 			},
 			Rates:   rates,
 			Statics: pts,
@@ -212,7 +201,7 @@ func main() {
 			Keys: *keys, ValueBytes: *valueBytes, SetPercent: *setPct,
 			Rate: *rate, Requests: *requests, Seed: *seed, Warmup: *warmup,
 			BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS, QueueDepth: *queueDepth,
-			Adaptive: *adaptive, Ctrl: ctrl,
+			Adaptive: *adaptive, Ctrl: adaptCtrl,
 			Recorder: rec, TraceSample: *traceSample, TraceSeed: *traceSeed,
 		}, sizes)
 		if err != nil {
@@ -277,25 +266,14 @@ func main() {
 		BatchWindowNS: *windowNS, DeadlineNS: *deadlineNS,
 		IdleSleep:  50 * time.Microsecond,
 		DurableAck: journaled,
-		Adaptive:   *adaptive, Ctrl: ctrl,
+		Adaptive:   *adaptive, Ctrl: adaptCtrl,
 		TraceSample: *traceSample, TraceSeed: *traceSeed,
 		WallClock: true, TraceRecorder: rec,
 		Flight: fr,
 	})
 	if fr != nil {
 		fr.StartMirror(server.FlightPath(*image), *flightInterval, func() server.FlightSample {
-			m := st.TM().Metrics()
-			ctrs := make(map[string]int64, metrics.NumCounters)
-			for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
-				if v := m.Get(c); v != 0 {
-					ctrs[c.String()] = v
-				}
-			}
-			return server.FlightSample{
-				WallNS:     time.Now().UnixNano(),
-				QueueDepth: exec.QueueDepth(),
-				Counters:   ctrs,
-			}
+			return server.TakeSnapshot(st, exec, fr).FlightSample()
 		})
 	}
 	ln, err := net.Listen("tcp", *listen)
@@ -341,13 +319,7 @@ func main() {
 	if *image != "" {
 		// Power-failure semantics on purpose: the domain policy decides
 		// what survives, and the next start runs true crash recovery.
-		var vt int64
-		for i := 0; i < *shards; i++ {
-			if t := exec.ShardVT(i); t > vt {
-				vt = t
-			}
-		}
-		st.Crash(vt)
+		st.Crash(exec.LastVT())
 		if err := st.SaveImage(*image); err != nil {
 			fail(err)
 		}

@@ -9,6 +9,9 @@ import (
 	"goptm/internal/durability"
 )
 
+// serial runs a sweep on one worker, silently.
+var serial = SweepOptions{Jobs: 1}
+
 // tinyParams keeps experiment-plumbing tests fast.
 func tinyParams() Params {
 	return Params{Threads: []int{1, 2}, WarmupNS: 100_000, MeasureNS: 300_000, Small: true}
@@ -57,10 +60,10 @@ func TestPanelWorkloadsMatchPaper(t *testing.T) {
 
 func TestRunPanelProducesFigure(t *testing.T) {
 	p := tinyParams()
-	fig, err := RunPanel("test", TATPWorkload(), []Cell{
+	fig, err := RunPanelOpts("test", TATPWorkload(), []Cell{
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
 		{Medium: core.MediumNVM, Domain: durability.EADR, Algo: core.OrecLazy},
-	}, p, nil)
+	}, p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -89,7 +92,7 @@ func TestRunPanelProducesFigure(t *testing.T) {
 
 func TestRunTable3ProducesRows(t *testing.T) {
 	p := tinyParams()
-	rows, err := RunTable3(p, nil)
+	rows, err := RunTable3Opts(p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -108,7 +111,7 @@ func TestRunFig8SmallSweep(t *testing.T) {
 		t.Skip("fig8 sweep in -short mode")
 	}
 	p := Params{WarmupNS: 100_000, MeasureNS: 300_000, Small: true}
-	points, err := RunFig8(p, nil)
+	points, err := RunFig8Opts(p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -209,9 +212,9 @@ func TestWindowSizeInsensitivity(t *testing.T) {
 
 func TestWriteCSV(t *testing.T) {
 	p := tinyParams()
-	fig, err := RunPanel("Figure X", TATPWorkload(), []Cell{
+	fig, err := RunPanelOpts("Figure X", TATPWorkload(), []Cell{
 		{Medium: core.MediumNVM, Domain: durability.ADR, Algo: core.OrecLazy},
-	}, p, nil)
+	}, p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -233,14 +236,14 @@ func TestWriteCSV(t *testing.T) {
 
 func TestRunTable12Smoke(t *testing.T) {
 	p := Params{Threads: []int{2}, WarmupNS: 100_000, MeasureNS: 300_000, Small: true}
-	fig, err := RunTable12(core.OrecLazy, p, nil)
+	fig, err := RunTable12Opts(core.OrecLazy, p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if fig.Name != "Table I" || len(fig.Series) != 4 {
 		t.Fatalf("table shape: %s with %d series", fig.Name, len(fig.Series))
 	}
-	fig2, err := RunTable12(core.OrecEager, p, nil)
+	fig2, err := RunTable12Opts(core.OrecEager, p, serial)
 	if err != nil {
 		t.Fatal(err)
 	}

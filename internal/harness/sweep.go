@@ -10,7 +10,6 @@ package harness
 
 import (
 	"fmt"
-	"io"
 
 	"goptm/internal/core"
 	"goptm/internal/durability"
@@ -123,7 +122,8 @@ func RunPanelOpts(name string, mk WorkloadMaker, cells []Cell, p Params, opts Sw
 	return fig, nil
 }
 
-// RunTable12Opts is RunTable12 through the parallel engine.
+// RunTable12Opts reproduces Table I (redo) or Table II (undo):
+// commits-per-abort for TPCC (Hash Table), through the parallel engine.
 func RunTable12Opts(algo core.Algo, p Params, opts SweepOptions) (Figure, error) {
 	mk := table12Maker()
 	name := "Table I"
@@ -133,9 +133,12 @@ func RunTable12Opts(algo core.Algo, p Params, opts SweepOptions) (Figure, error)
 	return RunPanelOpts(name, mk, TableIOrIICells(algo), p, opts)
 }
 
-// RunTable3Opts is RunTable3 through the parallel engine. One job is
-// one table row (the base + no-fence measurement pair): the two runs
-// share a row, so splitting them would only reorder progress lines.
+// RunTable3Opts measures the fence-elision ablation at a low thread
+// count (the paper reports a latency snapshot; at saturation the
+// WPQ-accept wait would dominate and overstate the fence share). One
+// job is one table row (the base + no-fence measurement pair): the two
+// runs share a row, so splitting them would only reorder progress
+// lines.
 func RunTable3Opts(p Params, opts SweepOptions) ([]Table3Row, error) {
 	const threads = 2
 	var jobs []runner.Job[Table3Row]
@@ -189,9 +192,10 @@ func RunTable3Opts(p Params, opts SweepOptions) ([]Table3Row, error) {
 	return rows, nil
 }
 
-// RunFig8Opts is RunFig8 through the parallel engine: one job per
-// (working-set size, cell) point. Skipped points are absent from a
-// point's Results map and render as "-".
+// RunFig8Opts reproduces the memcached working-set study (one worker
+// thread, 50/50 get/set, throughput vs resident items) through the
+// parallel engine: one job per (working-set size, cell) point. Skipped
+// points are absent from a point's Results map and render as "-".
 func RunFig8Opts(p Params, opts SweepOptions) ([]Fig8Point, error) {
 	cells := fig8Cells
 	items := Fig8ItemCounts(p.Small)
@@ -251,10 +255,4 @@ func RunFig8Opts(p Params, opts SweepOptions) ([]Fig8Point, error) {
 // runnerOptions translates SweepOptions to the runner's form.
 func runnerOptions(o SweepOptions) runner.Options {
 	return runner.Options{Jobs: o.Jobs, Shard: o.Shard, Cache: o.Cache, Progress: o.Progress}
-}
-
-// serialOptions wraps a legacy verbose writer in a Progress so the
-// io.Writer entry points keep printing per-point lines.
-func serialOptions(w io.Writer) SweepOptions {
-	return SweepOptions{Jobs: 1, Progress: runner.NewProgress(w, nil)}
 }

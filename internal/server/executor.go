@@ -113,11 +113,12 @@ type ExecConfig struct {
 	// the TCP server doesn't spin a core per shard. Must stay 0 under
 	// lockstep: a sleeping thread holds the scheduler floor.
 	IdleSleep time.Duration
-	// DurableAck runs Store.DrainPersist after every batch that
-	// contains a write, before any request in the batch completes: the
-	// batch's persistence traffic reaches simulated media — and the
-	// attached write-ahead journal, if any — before the response goes
-	// out, so an acked write survives a kill of the host process.
+	// DurableAck runs Store.DrainMedia then Store.FlushJournal after
+	// every batch that contains a write, before any request in the
+	// batch completes: the batch's persistence traffic reaches
+	// simulated media — and the attached write-ahead journal, if any —
+	// before the response goes out, so an acked write survives a kill
+	// of the host process.
 	// Off by default: the barrier adds drain waits to the virtual
 	// timeline, which would shift loadsim's pinned latency curves.
 	DurableAck bool
@@ -207,8 +208,8 @@ type shard struct {
 	ctrl *ctrl // adaptive (cap, window) controller; nil when static
 
 	// statsMu guards the histograms and executed: the worker takes it
-	// once per batch, so the telemetry endpoint can merge live stats
-	// from host goroutines without racing the shard thread.
+	// once per batch, so Stats can merge live stats from host
+	// goroutines without racing the shard thread.
 	statsMu    sync.Mutex
 	latency    stats.Histogram // enqueue→completion, virtual ns
 	batchSizes stats.Histogram
@@ -621,55 +622,36 @@ func (e *Executor) recordFlight(req *Request, doneVT int64) {
 	})
 }
 
-// ShardVT returns shard i's last observed virtual timestamp — after a
-// drain, the slowest shard's clock bounds the run's virtual elapsed
-// time.
+// ShardVT returns shard i's last observed virtual timestamp.
 func (e *Executor) ShardVT(i int) int64 { return e.shards[i].lastVT.Load() }
 
-// ShardCtrl reports shard i's live adaptive operating point and step
-// count. ok is false for a static executor.
-func (e *Executor) ShardCtrl(i int) (cap int, windowNS int64, steps int64, ok bool) {
-	c := e.shards[i].ctrl
-	if c == nil {
-		return 0, 0, 0, false
+// LastVT returns the latest shard clock. After a drain it is the run's
+// virtual end — and the instant a simulated power failure must be
+// taken at (Store.Crash), since Crash replays the device only up to it.
+func (e *Executor) LastVT() int64 {
+	var vt int64
+	for _, s := range e.shards {
+		vt = max(vt, s.lastVT.Load())
 	}
-	cap, windowNS = c.params()
-	return cap, windowNS, c.steps.Load(), true
+	return vt
 }
-
-// ShardShed reports shard i's deadline-shed count so far.
-func (e *Executor) ShardShed(i int) int64 { return e.shards[i].shed.Load() }
 
 // NumShards reports the executor's shard count.
 func (e *Executor) NumShards() int { return len(e.shards) }
 
-// ShardParams reports shard i's live (batch cap, window): the
-// controller's operating point under Adaptive, the static
-// configuration otherwise.
-func (e *Executor) ShardParams(i int) (int, int64) {
-	if cap, win, _, ok := e.ShardCtrl(i); ok {
-		return cap, win
-	}
-	return e.cfg.MaxBatch, e.cfg.BatchWindowNS
-}
-
-// CtrlTrace returns shard i's controller trace (empty unless
-// Ctrl.Trace was set). Call only when the workers are quiescent.
-func (e *Executor) CtrlTrace(i int) []CtrlStep {
-	if c := e.shards[i].ctrl; c != nil {
-		return c.trace
-	}
-	return nil
-}
-
-// CtrlTraceFNV folds every shard's controller trace, in shard order,
-// into one hash — the determinism fingerprint loadsim pins. Call only
-// when the workers are quiescent.
+// CtrlTraceFNV folds every shard's controller trace (empty unless
+// Ctrl.Trace was set), in shard order, into one hash — the
+// determinism fingerprint loadsim pins. Call only when the workers are
+// quiescent.
 func (e *Executor) CtrlTraceFNV() uint64 {
 	h := fnv.New64a()
 	var b [8]byte
-	for i := range e.shards {
-		sum := TraceFNV(e.CtrlTrace(i))
+	for _, s := range e.shards {
+		var trace []CtrlStep
+		if s.ctrl != nil {
+			trace = s.ctrl.trace
+		}
+		sum := TraceFNV(trace)
 		for j := range b {
 			b[j] = byte(sum >> (8 * j))
 		}
@@ -704,32 +686,48 @@ func (e *Executor) Drain() {
 	}
 }
 
+// ShardStats is one shard's live operating point.
+type ShardStats struct {
+	Shard      int   `json:"shard"`
+	QueueDepth int   `json:"queue_depth"`
+	Shed       int64 `json:"shed"` // deadline sheds at pop time
+	// BatchCap and WindowNS are the controller's operating point under
+	// Adaptive, the static configuration otherwise.
+	BatchCap  int   `json:"batch_cap"`
+	WindowNS  int64 `json:"window_ns"`
+	CtrlSteps int64 `json:"ctrl_steps"` // 0 when static
+}
+
 // ExecStats is a point-in-time roll-up across shards.
 type ExecStats struct {
 	Executed   int64
 	Shed       int64
-	Queued     int64
-	ShardShed  []int64         // per-shard deadline sheds
+	Queued     int64           // live queued-request count across shards
 	CtrlSteps  int64           // controller evaluations (0 when static)
+	Shards     []ShardStats    // per-shard operating points, in shard order
 	Latency    stats.Histogram // merged enqueue→completion latency
 	BatchSizes stats.Histogram
 	AckBarrier stats.Histogram // durable-ack barrier host-time latency
 }
 
 // Stats merges the per-shard accounting. Safe to call while the
-// workers run — the histograms are read under each shard's stats
-// mutex, so the live telemetry endpoint gets a consistent roll-up —
+// workers run — the queues and histograms are read under each shard's
+// mutexes, so the live stats surfaces get a consistent roll-up —
 // though a mid-run snapshot is of course a moving target.
 func (e *Executor) Stats() ExecStats {
-	var out ExecStats
-	out.Queued = e.queued.Load()
-	out.ShardShed = make([]int64, len(e.shards))
+	out := ExecStats{Queued: e.queued.Load(), Shards: make([]ShardStats, len(e.shards))}
 	for i, s := range e.shards {
-		out.ShardShed[i] = s.shed.Load()
-		out.Shed += out.ShardShed[i]
+		ss := ShardStats{Shard: i, Shed: s.shed.Load(), BatchCap: e.cfg.MaxBatch, WindowNS: e.cfg.BatchWindowNS}
 		if s.ctrl != nil {
-			out.CtrlSteps += s.ctrl.steps.Load()
+			ss.BatchCap, ss.WindowNS = s.ctrl.params()
+			ss.CtrlSteps = s.ctrl.steps.Load()
 		}
+		s.mu.Lock()
+		ss.QueueDepth = len(s.queue) - s.head
+		s.mu.Unlock()
+		out.Shards[i] = ss
+		out.Shed += ss.Shed
+		out.CtrlSteps += ss.CtrlSteps
 		s.statsMu.Lock()
 		out.Executed += s.executed
 		out.Latency.Merge(&s.latency)
@@ -738,16 +736,4 @@ func (e *Executor) Stats() ExecStats {
 		s.statsMu.Unlock()
 	}
 	return out
-}
-
-// QueueDepth reports the live queued-request count across all shards.
-func (e *Executor) QueueDepth() int64 { return e.queued.Load() }
-
-// ShardQueueDepth reports shard i's live queue depth.
-func (e *Executor) ShardQueueDepth(i int) int {
-	s := e.shards[i]
-	s.mu.Lock()
-	d := len(s.queue) - s.head
-	s.mu.Unlock()
-	return d
 }

@@ -3,29 +3,27 @@ package server
 import (
 	"encoding/json"
 	"os"
-	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
 // The flight recorder answers the question the soak harness's SIGKILL
 // leaves open: what was the server doing in the seconds before it
 // died? A killed process can't be asked, so the recorder keeps a
-// fixed-size lock-free ring of recent completed-request records plus
-// a short series of counter samples, and a mirror goroutine
+// fixed-size ring of recent completed-request records plus a short
+// series of counter samples, and a mirror goroutine
 // periodically rewrites a JSON sidecar next to the image (tmp+rename,
 // so the sidecar is never torn). After the kill, ptmsoak harvests the
 // sidecar and attaches the tail to its verdict — an oracle violation
 // then carries the last pre-kill window of telemetry instead of just
 // a key name.
 //
-// The write path is a seqlock per slot: the writer bumps the slot's
-// version to odd, stores the record, and publishes the version even.
-// Readers (the mirror goroutine, the telemetry snapshot) copy the
-// slot and keep it only if the version was even and unchanged across
-// the copy. Writers never block on readers and never allocate; a nil
-// *FlightRecorder disables everything at the cost of one nil check.
+// One mutex guards the ring: a write is a sequence bump, a clock read
+// and one record copy, so the critical section is short and never
+// allocates, and a reader (the mirror goroutine) copies a consistent
+// ring — no record can be torn by two writers lapping each other. A
+// nil *FlightRecorder disables everything at the cost of one nil
+// check.
 
 // FlightRecord is one completed request as the ring retains it.
 type FlightRecord struct {
@@ -68,17 +66,13 @@ const maxFlightSamples = 64
 // FlightPath names the sidecar mirrored next to the image at path.
 func FlightPath(imagePath string) string { return imagePath + ".flight" }
 
-type flightSlot struct {
-	ver atomic.Uint64 // seq<<1 | 1 while being written; seq<<1 once published
-	rec FlightRecord
-}
-
 // FlightRecorder is the ring plus its mirror goroutine. A nil
 // receiver is the disabled configuration.
 type FlightRecorder struct {
-	slots []flightSlot
-	mask  uint64
-	seq   atomic.Uint64
+	ringMu sync.Mutex // guards ring and seq
+	ring   []FlightRecord
+	mask   uint64
+	seq    uint64 // records ever written; record s lives at ring[s&mask]
 
 	mu      sync.Mutex // serializes dumps and guards samples
 	path    string
@@ -98,22 +92,21 @@ func NewFlightRecorder(size int) *FlightRecorder {
 	for n < size {
 		n <<= 1
 	}
-	return &FlightRecorder{slots: make([]flightSlot, n), mask: uint64(n - 1)}
+	return &FlightRecorder{ring: make([]FlightRecord, n), mask: uint64(n - 1)}
 }
 
-// Record publishes one completed request into the ring. Lock-free,
-// allocation-free, and safe from concurrent shard workers; nil-safe.
+// Record publishes one completed request into the ring.
+// Allocation-free and safe from concurrent shard workers; nil-safe.
 func (f *FlightRecorder) Record(rec FlightRecord) {
 	if f == nil {
 		return
 	}
-	seq := f.seq.Add(1)
-	rec.Seq = seq
+	f.ringMu.Lock()
+	f.seq++
+	rec.Seq = f.seq
 	rec.WallNS = time.Now().UnixNano()
-	slot := &f.slots[seq&f.mask]
-	slot.ver.Store(seq<<1 | 1)
-	slot.rec = rec
-	slot.ver.Store(seq << 1)
+	f.ring[f.seq&f.mask] = rec
+	f.ringMu.Unlock()
 }
 
 // Seq reports how many records have ever been written.
@@ -121,7 +114,9 @@ func (f *FlightRecorder) Seq() uint64 {
 	if f == nil {
 		return 0
 	}
-	return f.seq.Load()
+	f.ringMu.Lock()
+	defer f.ringMu.Unlock()
+	return f.seq
 }
 
 // Size reports the ring capacity.
@@ -129,30 +124,21 @@ func (f *FlightRecorder) Size() int {
 	if f == nil {
 		return 0
 	}
-	return len(f.slots)
+	return len(f.ring)
 }
 
-// Snapshot copies every consistently-readable record, oldest first.
-// Slots caught mid-write (seqlock version odd or changed during the
-// copy) are skipped — the writer always wins.
+// Snapshot copies the retained records, oldest first.
 func (f *FlightRecorder) Snapshot() []FlightRecord {
 	if f == nil {
 		return nil
 	}
-	out := make([]FlightRecord, 0, len(f.slots))
-	for i := range f.slots {
-		slot := &f.slots[i]
-		v1 := slot.ver.Load()
-		if v1 == 0 || v1&1 == 1 {
-			continue
-		}
-		rec := slot.rec
-		if slot.ver.Load() != v1 {
-			continue
-		}
-		out = append(out, rec)
+	f.ringMu.Lock()
+	defer f.ringMu.Unlock()
+	n := min(f.seq, uint64(len(f.ring)))
+	out := make([]FlightRecord, 0, n)
+	for s := f.seq - n + 1; s <= f.seq; s++ {
+		out = append(out, f.ring[s&f.mask])
 	}
-	sort.Slice(out, func(a, b int) bool { return out[a].Seq < out[b].Seq })
 	return out
 }
 
@@ -187,7 +173,10 @@ func (f *FlightRecorder) dumpLocked() error {
 		return nil
 	}
 	records := f.Snapshot()
-	seq := f.seq.Load()
+	seq := uint64(0)
+	if len(records) > 0 {
+		seq = records[len(records)-1].Seq
+	}
 	d := FlightDump{
 		Schema:  flightSchema,
 		WallNS:  time.Now().UnixNano(),

@@ -54,7 +54,7 @@ func TestFlightRingWrap(t *testing.T) {
 }
 
 // TestFlightConcurrentRecord: concurrent writers against a snapshotting
-// reader — the seqlock must never yield a torn record (a record whose
+// reader — the ring must never yield a torn record (a record whose
 // Seq doesn't match its payload).
 func TestFlightConcurrentRecord(t *testing.T) {
 	f := NewFlightRecorder(64)

@@ -231,23 +231,11 @@ func Run(cfg Config) (Result, error) {
 		res.MeanBatch = float64(es.Executed) / float64(res.Batches)
 	}
 	// Elapsed runs to the last shard's final virtual timestamp.
-	res.ElapsedNS = lastVT(exec) - start
+	res.ElapsedNS = exec.LastVT() - start
 	if res.ElapsedNS > 0 {
 		res.Throughput = float64(res.Executed) / (float64(res.ElapsedNS) / 1e9)
 	}
 	return res, nil
-}
-
-// lastVT returns the latest per-shard clock — the drain completion
-// time of the slowest shard.
-func lastVT(exec *server.Executor) int64 {
-	var max int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if vt := exec.ShardVT(i); vt > max {
-			max = vt
-		}
-	}
-	return max
 }
 
 // Curve runs the same workload at each batch size and returns the

@@ -191,7 +191,7 @@ func TestPopTimeShedding(t *testing.T) {
 	}
 	// The warm requests themselves may age out under the tight
 	// deadline; only the delta from here on is the assertion.
-	preShed := exec.ShardShed(0)
+	preShed := exec.Stats().Shards[0].Shed
 	// EnqVT=1 is ancient relative to the shard clock: must shed.
 	stale := &Request{Op: OpGet, Key: []byte("warm"), EnqVT: 1, Done: make(chan struct{})}
 	if !exec.Submit(stale) {
@@ -203,11 +203,11 @@ func TestPopTimeShedding(t *testing.T) {
 	}
 	exec.Drain()
 	es := exec.Stats()
-	if got := exec.ShardShed(0) - preShed; got != 1 {
+	if got := es.Shards[0].Shed - preShed; got != 1 {
 		t.Fatalf("shard shed delta = %d, want 1", got)
 	}
-	if es.Shed != exec.ShardShed(0) {
-		t.Fatalf("stats shed = %d, shard shed = %d: roll-up disagrees", es.Shed, exec.ShardShed(0))
+	if es.Shed != es.Shards[0].Shed {
+		t.Fatalf("stats shed = %d, shard shed = %d: roll-up disagrees", es.Shed, es.Shards[0].Shed)
 	}
 	if es.Latency.Count() != es.Executed {
 		t.Fatalf("latency count %d != executed %d: shed request polluted the histogram",

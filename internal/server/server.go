@@ -482,21 +482,14 @@ func (st *Store) FinishJournal() {
 	st.wal = nil
 }
 
-// DrainPersist is the durable-ack barrier: force every pending WPQ
-// entry onto simulated media, advance the calling shard's clock to the
-// last drain completion (the honest virtual-time cost of waiting), and
-// flush the journal batch to the host file. Only after this may the
-// batch's responses be acknowledged — an acked write is then
-// reconstructible from image + journal even if the process is killed
-// the next instant.
-func (st *Store) DrainPersist(th *core.Thread) error {
-	st.DrainMedia(th)
-	return st.FlushJournal()
-}
-
+// DrainMedia and FlushJournal, in that order, are the durable-ack
+// barrier. Only after both may a batch's responses be acknowledged —
+// an acked write is then reconstructible from image + journal even if
+// the process is killed the next instant.
+//
 // DrainMedia is the barrier's first half: force every pending WPQ
-// entry onto simulated media and charge the calling shard the virtual
-// time the drain took.
+// entry onto simulated media and advance the calling shard's clock to
+// the last drain completion (the honest virtual-time cost of waiting).
 func (st *Store) DrainMedia(th *core.Thread) {
 	n, maxVT := st.tm.Bus().Device().DrainAll()
 	if n > 0 {

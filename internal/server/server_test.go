@@ -92,13 +92,7 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 	exec.Drain()
 
-	var vt int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if v := exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
-	st.Crash(vt)
+	st.Crash(exec.LastVT())
 	path := filepath.Join(t.TempDir(), "kv.img")
 	if err := st.SaveImage(path); err != nil {
 		t.Fatal(err)
@@ -175,13 +169,7 @@ func TestRecoveryMidBatch(t *testing.T) {
 			}
 			exec.Drain() // the worker dies at the injected power failure
 
-			var vt int64
-			for i := 0; i < exec.Config().Shards; i++ {
-				if v := exec.ShardVT(i); v > vt {
-					vt = v
-				}
-			}
-			st.Crash(vt)
+			st.Crash(exec.LastVT())
 			path := filepath.Join(t.TempDir(), "crash.img")
 			if err := st.SaveImage(path); err != nil {
 				t.Fatal(err)
@@ -294,13 +282,7 @@ func TestServerTCP(t *testing.T) {
 	conn.Close()
 
 	srv.Shutdown()
-	var vt int64
-	for i := 0; i < exec.Config().Shards; i++ {
-		if v := exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
-	st.Crash(vt)
+	st.Crash(exec.LastVT())
 	path := filepath.Join(t.TempDir(), "tcp.img")
 	if err := st.SaveImage(path); err != nil {
 		t.Fatal(err)

@@ -192,12 +192,7 @@ func (t *inprocTarget) kill(mode string, rng *prand) error {
 // start recovers from.
 func (t *inprocTarget) awaitDead() error {
 	t.exec.Drain()
-	var vt int64
-	for i := 0; i < t.exec.Config().Shards; i++ {
-		if v := t.exec.ShardVT(i); v > vt {
-			vt = v
-		}
-	}
+	vt := t.exec.LastVT()
 	t.armed.Store(false)
 	dirty := t.dirty
 	t.dirty = false

@@ -300,12 +300,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		val := payload[:nbytes]
 		req := &Request{Op: OpSet, Key: fields[1], Value: val, Flags: uint32(flags)}
 		return srv.submitCmd(req, noreply, func(w *bufio.Writer) {
-			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
-			case req.Err != nil:
+			if req.Err != nil {
 				fmt.Fprintf(w, "CLIENT_ERROR %v\r\n", req.Err)
-			default:
+			} else {
 				fmt.Fprintf(w, "STORED\r\n")
 			}
 		}), nil
@@ -317,12 +314,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		noreply := len(fields) >= 3 && string(fields[2]) == "noreply"
 		req := &Request{Op: OpDelete, Key: fields[1]}
 		return srv.submitCmd(req, noreply, func(w *bufio.Writer) {
-			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
-			case req.Found:
+			if req.Found {
 				fmt.Fprintf(w, "DELETED\r\n")
-			default:
+			} else {
 				fmt.Fprintf(w, "NOT_FOUND\r\n")
 			}
 		}), nil
@@ -338,8 +332,6 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		req := &Request{Op: OpIncr, Key: fields[1], Delta: delta}
 		return srv.submitCmd(req, false, func(w *bufio.Writer) {
 			switch {
-			case errors.Is(req.Err, ErrDurable):
-				fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
 			case req.Err != nil:
 				fmt.Fprintf(w, "CLIENT_ERROR cannot increment or decrement non-numeric value\r\n")
 			case !req.Found:
@@ -350,7 +342,9 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 		}), nil
 
 	case "stats":
-		return &pending{render: srv.writeStats}, nil
+		return &pending{render: func(w *bufio.Writer) {
+			writeStats(w, TakeSnapshot(srv.st, srv.exec, nil))
+		}}, nil
 
 	default:
 		return respond("ERROR\r\n"), nil
@@ -358,9 +352,10 @@ func (srv *Server) parse(fields [][]byte, r *bufio.Reader, pend chan *pending) (
 }
 
 // submitCmd submits one mutation request and builds its pending: a
-// rejected or shed request renders SERVER_ERROR busy; noreply renders
-// nothing (and, with no response to order, does not hold the response
-// stream — the request is fire-and-forget).
+// rejected or shed request renders SERVER_ERROR busy, a failed
+// durable-ack barrier SERVER_ERROR persistence failure; noreply
+// renders nothing (and, with no response to order, does not hold the
+// response stream — the request is fire-and-forget).
 func (srv *Server) submitCmd(req *Request, noreply bool, render func(w *bufio.Writer)) *pending {
 	if !noreply {
 		req.Done = make(chan struct{})
@@ -376,55 +371,47 @@ func (srv *Server) submitCmd(req *Request, noreply bool, render func(w *bufio.Wr
 		return nil
 	}
 	return &pending{wait: []*Request{req}, render: func(w *bufio.Writer) {
-		if req.Shed || req.Err == ErrDraining {
+		switch {
+		case req.Shed || req.Err == ErrDraining:
 			fmt.Fprintf(w, "SERVER_ERROR busy\r\n")
-			return
+		case errors.Is(req.Err, ErrDurable):
+			fmt.Fprintf(w, "SERVER_ERROR persistence failure\r\n")
+		default:
+			render(w)
 		}
-		render(w)
 	}}
 }
 
-// statLines assembles the full stats key set in sorted order. Every
-// key is always present — the controller gauges read 0 and the
-// per-shard operating points read the static configuration when no
-// controller runs — so a monitoring client can parse the response
-// against a fixed schema (the stats test pins exactly this key set).
-func (srv *Server) statLines() []string {
-	met := srv.st.tm.Metrics()
+// writeStats renders a Snapshot in "STAT name value" form, the full
+// key set in sorted order. Every key is always present — the
+// controller gauges read 0 and the per-shard operating points read the
+// static configuration when no controller runs — so a monitoring
+// client can parse the response against a fixed schema (the stats
+// tests pin exactly this key set and its bytes).
+func writeStats(w *bufio.Writer, snap Snapshot) {
 	lines := []string{
-		fmt.Sprintf("batched_ops_total %d", met.Get(metrics.CtrSrvBatchedOps)),
-		fmt.Sprintf("batches_total %d", met.Get(metrics.CtrSrvBatches)),
-		fmt.Sprintf("cmd_total %d", met.Get(metrics.CtrSrvRequests)),
-		fmt.Sprintf("ctrl_steps %d", met.Get(metrics.CtrSrvCtrlSteps)),
-		fmt.Sprintf("ctrl_steps_down %d", met.Get(metrics.CtrSrvCtrlDown)),
-		fmt.Sprintf("ctrl_steps_up %d", met.Get(metrics.CtrSrvCtrlUp)),
-		fmt.Sprintf("queue_depth %d", srv.exec.QueueDepth()),
-		fmt.Sprintf("shed_total %d", met.Get(metrics.CtrSrvShed)),
-		fmt.Sprintf("txn_aborts %d", met.Get(metrics.CtrAborts)),
-		fmt.Sprintf("txn_commits %d", met.Get(metrics.CtrCommits)),
+		fmt.Sprintf("batched_ops_total %d", snap.counter(metrics.CtrSrvBatchedOps)),
+		fmt.Sprintf("batches_total %d", snap.counter(metrics.CtrSrvBatches)),
+		fmt.Sprintf("cmd_total %d", snap.counter(metrics.CtrSrvRequests)),
+		fmt.Sprintf("ctrl_steps %d", snap.counter(metrics.CtrSrvCtrlSteps)),
+		fmt.Sprintf("ctrl_steps_down %d", snap.counter(metrics.CtrSrvCtrlDown)),
+		fmt.Sprintf("ctrl_steps_up %d", snap.counter(metrics.CtrSrvCtrlUp)),
+		fmt.Sprintf("queue_depth %d", snap.QueueDepth),
+		fmt.Sprintf("shed_total %d", snap.counter(metrics.CtrSrvShed)),
+		fmt.Sprintf("txn_aborts %d", snap.counter(metrics.CtrAborts)),
+		fmt.Sprintf("txn_commits %d", snap.counter(metrics.CtrCommits)),
 	}
-	for i := 0; i < srv.exec.NumShards(); i++ {
-		cap, window := srv.exec.ShardParams(i)
-		var steps int64
-		if _, _, s, ok := srv.exec.ShardCtrl(i); ok {
-			steps = s
-		}
+	for _, sh := range snap.Shards {
 		lines = append(lines,
-			fmt.Sprintf("shard%d_batch_cap %d", i, cap),
-			fmt.Sprintf("shard%d_ctrl_steps %d", i, steps),
-			fmt.Sprintf("shard%d_queue_depth %d", i, srv.exec.ShardQueueDepth(i)),
-			fmt.Sprintf("shard%d_shed %d", i, srv.exec.ShardShed(i)),
-			fmt.Sprintf("shard%d_window_ns %d", i, window),
+			fmt.Sprintf("shard%d_batch_cap %d", sh.Shard, sh.BatchCap),
+			fmt.Sprintf("shard%d_ctrl_steps %d", sh.Shard, sh.CtrlSteps),
+			fmt.Sprintf("shard%d_queue_depth %d", sh.Shard, sh.QueueDepth),
+			fmt.Sprintf("shard%d_shed %d", sh.Shard, sh.Shed),
+			fmt.Sprintf("shard%d_window_ns %d", sh.Shard, sh.WindowNS),
 		)
 	}
 	sort.Strings(lines)
-	return lines
-}
-
-// writeStats emits the service counters in "STAT name value" form,
-// keys in sorted order.
-func (srv *Server) writeStats(w *bufio.Writer) {
-	for _, line := range srv.statLines() {
+	for _, line := range lines {
 		fmt.Fprintf(w, "STAT %s\r\n", line)
 	}
 	fmt.Fprintf(w, "END\r\n")

@@ -17,7 +17,7 @@ import (
 // The telemetry plane is an opt-in localhost HTTP listener that makes
 // a running ptmserve observable without stopping it: the machine's
 // counter registry plus the serving layer's live gauges and latency
-// summaries, in two formats from one snapshot path —
+// summaries, in two formats from one Snapshot —
 //
 //   GET /metrics  — Prometheus text exposition (scrapable);
 //   GET /snapshot — the same state as one JSON document;
@@ -35,12 +35,17 @@ type Telemetry struct {
 	addr string
 }
 
-// TelemetrySnapshot is the /snapshot document.
-type TelemetrySnapshot struct {
+// Snapshot is the serving layer's one live-state document: the
+// machine's counter registry, the executor's roll-up (ExecStats), the
+// journal-flush histogram and the flight-recorder sequence. TakeSnapshot
+// is its only assembler; memcached stats, /metrics, /snapshot (its JSON
+// form) and the flight recorder's counter samples all render from it,
+// so the surfaces cannot disagree about a shared key.
+type Snapshot struct {
 	WallNS     int64            `json:"wall_ns"`
 	Counters   map[string]int64 `json:"counters"`
 	QueueDepth int64            `json:"queue_depth"`
-	Shards     []ShardSnapshot  `json:"shards"`
+	Shards     []ShardStats     `json:"shards"`
 
 	Latency      *stats.Histogram `json:"latency_ns"`
 	BatchSizes   *stats.Histogram `json:"batch_sizes"`
@@ -50,24 +55,16 @@ type TelemetrySnapshot struct {
 	FlightSeq uint64 `json:"flight_seq"` // 0 when no flight recorder
 }
 
-// ShardSnapshot is one shard's live operating point.
-type ShardSnapshot struct {
-	Shard      int   `json:"shard"`
-	QueueDepth int   `json:"queue_depth"`
-	Shed       int64 `json:"shed"`
-	BatchCap   int   `json:"batch_cap"`
-	WindowNS   int64 `json:"window_ns"`
-	CtrlSteps  int64 `json:"ctrl_steps"` // 0 when static
-}
-
-// snapshot assembles the document all endpoints serve from.
-func telemetrySnapshot(st *Store, exec *Executor, flight *FlightRecorder) TelemetrySnapshot {
+// TakeSnapshot assembles the live state of st, exec and flight (nil
+// when there is no flight recorder). Safe while the workers run.
+func TakeSnapshot(st *Store, exec *Executor, flight *FlightRecorder) Snapshot {
 	es := exec.Stats()
 	flush := st.JournalFlushStats()
-	snap := TelemetrySnapshot{
+	snap := Snapshot{
 		WallNS:       time.Now().UnixNano(),
-		Counters:     map[string]int64{},
-		QueueDepth:   exec.QueueDepth(),
+		Counters:     make(map[string]int64, metrics.NumCounters),
+		QueueDepth:   es.Queued,
+		Shards:       es.Shards,
 		Latency:      &es.Latency,
 		BatchSizes:   &es.BatchSizes,
 		AckBarrier:   &es.AckBarrier,
@@ -78,28 +75,28 @@ func telemetrySnapshot(st *Store, exec *Executor, flight *FlightRecorder) Teleme
 	for c := metrics.Counter(0); c < metrics.NumCounters; c++ {
 		snap.Counters[c.String()] = met.Get(c)
 	}
-	for i := 0; i < exec.NumShards(); i++ {
-		cap, win := exec.ShardParams(i)
-		var steps int64
-		if _, _, s, ok := exec.ShardCtrl(i); ok {
-			steps = s
-		}
-		snap.Shards = append(snap.Shards, ShardSnapshot{
-			Shard:      i,
-			QueueDepth: exec.ShardQueueDepth(i),
-			Shed:       exec.ShardShed(i),
-			BatchCap:   cap,
-			WindowNS:   win,
-			CtrlSteps:  steps,
-		})
-	}
 	return snap
+}
+
+// counter reads one registry counter from the snapshot.
+func (snap Snapshot) counter(c metrics.Counter) int64 { return snap.Counters[c.String()] }
+
+// FlightSample renders the snapshot as one flight-recorder counter
+// observation; zero counters are left out to keep the sidecar small.
+func (snap Snapshot) FlightSample() FlightSample {
+	ctrs := make(map[string]int64, len(snap.Counters))
+	for name, v := range snap.Counters {
+		if v != 0 {
+			ctrs[name] = v
+		}
+	}
+	return FlightSample{WallNS: snap.WallNS, QueueDepth: snap.QueueDepth, Counters: ctrs}
 }
 
 // writeProm renders the snapshot in the Prometheus text exposition
 // format, metric families in sorted name order (the CI smoke parses
 // every line).
-func writeProm(w *strings.Builder, snap TelemetrySnapshot) {
+func writeProm(w *strings.Builder, snap Snapshot) {
 	names := make([]string, 0, len(snap.Counters))
 	for name := range snap.Counters {
 		names = append(names, name)
@@ -110,18 +107,18 @@ func writeProm(w *strings.Builder, snap TelemetrySnapshot) {
 		fmt.Fprintf(w, "# TYPE %s counter\n%s %d\n", fam, fam, snap.Counters[name])
 	}
 	fmt.Fprintf(w, "# TYPE goptm_srv_queue_depth gauge\ngoptm_srv_queue_depth %d\n", snap.QueueDepth)
-	promShardGauge(w, "goptm_srv_shard_batch_cap", snap.Shards, func(s ShardSnapshot) int64 { return int64(s.BatchCap) })
-	promShardGauge(w, "goptm_srv_shard_ctrl_steps", snap.Shards, func(s ShardSnapshot) int64 { return s.CtrlSteps })
-	promShardGauge(w, "goptm_srv_shard_queue_depth", snap.Shards, func(s ShardSnapshot) int64 { return int64(s.QueueDepth) })
-	promShardGauge(w, "goptm_srv_shard_shed", snap.Shards, func(s ShardSnapshot) int64 { return s.Shed })
-	promShardGauge(w, "goptm_srv_shard_window_ns", snap.Shards, func(s ShardSnapshot) int64 { return s.WindowNS })
+	promShardGauge(w, "goptm_srv_shard_batch_cap", snap.Shards, func(s ShardStats) int64 { return int64(s.BatchCap) })
+	promShardGauge(w, "goptm_srv_shard_ctrl_steps", snap.Shards, func(s ShardStats) int64 { return s.CtrlSteps })
+	promShardGauge(w, "goptm_srv_shard_queue_depth", snap.Shards, func(s ShardStats) int64 { return int64(s.QueueDepth) })
+	promShardGauge(w, "goptm_srv_shard_shed", snap.Shards, func(s ShardStats) int64 { return s.Shed })
+	promShardGauge(w, "goptm_srv_shard_window_ns", snap.Shards, func(s ShardStats) int64 { return s.WindowNS })
 	promSummary(w, "goptm_srv_ack_barrier_ns", snap.AckBarrier)
 	promSummary(w, "goptm_srv_batch_size", snap.BatchSizes)
 	promSummary(w, "goptm_srv_journal_flush_ns", snap.JournalFlush)
 	promSummary(w, "goptm_srv_request_latency_ns", snap.Latency)
 }
 
-func promShardGauge(w *strings.Builder, fam string, shards []ShardSnapshot, get func(ShardSnapshot) int64) {
+func promShardGauge(w *strings.Builder, fam string, shards []ShardStats, get func(ShardStats) int64) {
 	fmt.Fprintf(w, "# TYPE %s gauge\n", fam)
 	for _, s := range shards {
 		fmt.Fprintf(w, "%s{shard=\"%d\"} %d\n", fam, s.Shard, get(s))
@@ -163,7 +160,7 @@ func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecord
 	mux := http.NewServeMux()
 	mux.HandleFunc("/metrics", func(w http.ResponseWriter, r *http.Request) {
 		var b strings.Builder
-		writeProm(&b, telemetrySnapshot(st, exec, flight))
+		writeProm(&b, TakeSnapshot(st, exec, flight))
 		w.Header().Set("Content-Type", "text/plain; version=0.0.4; charset=utf-8")
 		w.Write([]byte(b.String()))
 	})
@@ -171,7 +168,7 @@ func StartTelemetry(addr string, st *Store, exec *Executor, flight *FlightRecord
 		w.Header().Set("Content-Type", "application/json")
 		enc := json.NewEncoder(w)
 		enc.SetIndent("", "  ")
-		enc.Encode(telemetrySnapshot(st, exec, flight))
+		enc.Encode(TakeSnapshot(st, exec, flight))
 	})
 	mux.HandleFunc("/healthz", func(w http.ResponseWriter, r *http.Request) {
 		w.Write([]byte("ok\n"))

@@ -120,7 +120,7 @@ func TestTelemetrySnapshot(t *testing.T) {
 		submit(t, exec, &Request{Op: OpSet, Key: fmt.Appendf(nil, "k%d", i), Value: []byte("v")})
 	}
 
-	var snap TelemetrySnapshot
+	var snap Snapshot
 	if err := json.Unmarshal([]byte(httpGet(t, tel.Addr(), "/snapshot")), &snap); err != nil {
 		t.Fatal(err)
 	}

@@ -5,6 +5,7 @@ import (
 	"time"
 
 	"goptm/internal/obs"
+	"goptm/internal/simtime"
 )
 
 // reqTracer makes the request-lifecycle sampling decision and owns
@@ -39,16 +40,6 @@ func newReqTracer(rec *obs.Recorder, sample int, seed uint64, wall bool) *reqTra
 	return t
 }
 
-// splitmix64 is the sampler's mixing function — the same generator
-// the soak harness seeds with, chosen here because one multiply-xor
-// chain turns (seed, arrival index) into an unbiased keep/drop coin.
-func splitmix64(x uint64) uint64 {
-	x += 0x9e3779b97f4a7c15
-	x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9
-	x = (x ^ (x >> 27)) * 0x94d049bb133111eb
-	return x ^ (x >> 31)
-}
-
 // now is the tracer's clock: vt as given, or host ns since the epoch.
 func (t *reqTracer) now(vt int64) int64 {
 	if t.wall {
@@ -67,7 +58,9 @@ func (t *reqTracer) start(vt int64) *obs.ReqRecord {
 		return nil
 	}
 	id := t.n.Add(1) - 1
-	if t.every > 1 && splitmix64(t.seed^id)%t.every != 0 {
+	// One splitmix64 step turns (seed, arrival index) into an unbiased
+	// keep/drop coin.
+	if h := t.seed ^ id; t.every > 1 && simtime.SplitMix64(&h)%t.every != 0 {
 		return nil
 	}
 	rec := &obs.ReqRecord{ID: id}

@@ -15,14 +15,22 @@ func NewRand(seed uint64) *Rand {
 	return &Rand{state: seed*0x9E3779B97F4A7C15 + 0x2545F4914F6CDD1D}
 }
 
-// Uint64 returns the next 64 pseudo-random bits.
-func (r *Rand) Uint64() uint64 {
-	r.state += 0x9E3779B97F4A7C15
-	z := r.state
+// SplitMix64 is one step of the splitmix64 generator: it advances
+// *state by the golden-ratio increment and returns the mixed output.
+// It is the repository's one PRNG step — Rand, the client's retry
+// jitter and the soak harness's schedules are streams of it, and the
+// request sampler and crash-check workload use it as a hash by
+// stepping a throwaway copy of their key.
+func SplitMix64(state *uint64) uint64 {
+	*state += 0x9E3779B97F4A7C15
+	z := *state
 	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
 	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
 	return z ^ (z >> 31)
 }
+
+// Uint64 returns the next 64 pseudo-random bits.
+func (r *Rand) Uint64() uint64 { return SplitMix64(&r.state) }
 
 // Intn returns a pseudo-random int in [0, n). n must be positive.
 func (r *Rand) Intn(n int) int {
